@@ -135,11 +135,7 @@ def bench_warm_all(campaign, fast: bool, fingerprint: str) -> dict:
     }
 
 
-def bench_campaign_cold(
-    fast: bool,
-    worker_counts: list[int],
-    step_blocks: list[int] | None = None,
-) -> dict:
+def bench_campaign_cold(fast: bool, worker_counts: list[int]) -> dict:
     """Time cold campaign generation on :data:`CAMPAIGN_COLD_CELL`.
 
     ``use_cache=False`` keeps every timed run a full generation (no disk
@@ -147,12 +143,6 @@ def bench_campaign_cold(
     congestion-solve pipeline itself — on the non-default cell, where a
     geometry or registry regression would not be masked by the
     default-cell caches the other scenarios lean on.
-
-    ``step_blocks`` optionally sweeps the batched solver's block size
-    (``REPRO_STEP_BLOCK``) at workers=1 after the worker sweep — an
-    informational curve for picking :data:`repro.config.DEFAULT_STEP_BLOCK`;
-    it is recorded but never gated (results are bit-identical at any
-    block size, only the wall time moves).
     """
     import dataclasses
 
@@ -191,26 +181,9 @@ def bench_campaign_cold(
         print(f"  campaign_cold workers={workers}: {wall:.2f}s "
               f"({wall / calibration:.1f}x calibration)")
 
-    sweep = []
-    for block in step_blocks or []:
-        os.environ["REPRO_STEP_BLOCK"] = str(block)
-        try:
-            wall = one_timed_gen(workers=1)
-        finally:
-            os.environ.pop("REPRO_STEP_BLOCK", None)
-        sweep.append(
-            {
-                "step_block": block,
-                "wall_s": round(wall, 4),
-                "normalized_wall": round(wall / calibration, 4),
-            }
-        )
-        print(f"  campaign_cold step_block={block}: {wall:.2f}s "
-              f"({wall / calibration:.1f}x calibration)")
-
     serial = next((r for r in runs if r["workers"] == 1), runs[0])
     fastest = min(runs, key=lambda r: r["wall_s"])
-    result = {
+    return {
         "name": "campaign_cold",
         "mode": "fast" if fast else "full",
         "cell": f"{topology}/{routing}",
@@ -224,9 +197,6 @@ def bench_campaign_cold(
         ),
         "best_speedup_workers": fastest["workers"],
     }
-    if sweep:
-        result["step_block_sweep"] = sweep
-    return result
 
 
 #: Datasets the stream_append scenario retrains on — two suffice to
@@ -419,10 +389,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated worker counts to sweep")
     ap.add_argument("--fast", action="store_true",
                     help="test-scale campaign (the CI smoke configuration)")
-    ap.add_argument("--step-block", default=None,
-                    help="comma-separated REPRO_STEP_BLOCK values to sweep "
-                    "at workers=1 in the campaign_cold bench (e.g. "
-                    "'1,16,64'; informational, never gated)")
     ap.add_argument("--out", default="benchmarks",
                     help="directory for BENCH_<name>.json files")
     ap.add_argument("--profile", action="store_true",
@@ -432,10 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     worker_counts = [int(w) for w in args.workers.split(",")]
-    step_blocks = (
-        [int(b) for b in args.step_block.split(",")]
-        if args.step_block else None
-    )
     # --profile replaces the timed benches unless some were named.
     benches = args.bench or ([] if args.profile else BENCHES)
     out_dir = Path(args.out)
@@ -462,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
 
     for name in benches:
         if name == "campaign_cold":
-            result = bench_campaign_cold(args.fast, worker_counts, step_blocks)
+            result = bench_campaign_cold(args.fast, worker_counts)
         elif name == "stream_append":
             result = bench_stream_append(args.fast)
         elif name == "warm_all":

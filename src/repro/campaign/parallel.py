@@ -37,11 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import rng_for
-from repro.network.engine import BaseLoad, CongestionEngine, NetworkState
-from repro.network.counters import (
-    synthesize_router_counters,
-    synthesize_router_counters_block,
-)
+from repro.network.engine import BaseLoad, CongestionEngine
+from repro.network.counters import synthesize_router_counters_block
 from repro.network.ldms import LDMSSampler
 from repro.obs import span
 from repro.obs.profile import profiled_span
@@ -64,21 +61,21 @@ __all__ = [
 #: surface as a clean :class:`CampaignWorkerError`, never a hang.
 _CRASH_ENV = "REPRO_TEST_WORKER_CRASH"
 
-#: Env hook selecting the per-run solver: ``reference`` runs the frozen
-#: per-step loop (:func:`_solve_one_run_reference`), anything else (or
-#: unset) the batched step-block solver.  Both produce bit-identical
-#: results; the reference path exists so tests can prove it.
-_SOLVER_ENV = "REPRO_SOLVER"
+#: Step-block size of the per-run solver: each probe run's steps are
+#: solved in blocks of up to this many steps (grouped by background
+#: window).  64 keeps the per-block ``(steps, links)`` scratch matrices at
+#: a few megabytes at benchmark scale while amortising per-step NumPy
+#: dispatch overhead; results are bit-identical for any block size.
+STEP_BLOCK = 64
 
 #: Routing-geometry contexts kept alive per worker between the
 #: contribution phase and the solve phase (LRU; rebuilt on miss).
 #: Contexts are a few MB each at benchmark scale; 64 keeps every probe
 #: placement of a months-long campaign resident in the common case where
 #: a handful of apps cycle through O(10) placements, while still
-#: bounding memory for adversarial campaigns.  ``REPRO_CTX_CACHE``
-#: overrides (cache size never affects results — rebuilds are
-#: deterministic).
-_CTX_CACHE_CAP = int(os.environ.get("REPRO_CTX_CACHE", "") or 64)
+#: bounding memory for adversarial campaigns (cache size never affects
+#: results — rebuilds are deterministic).
+_CTX_CACHE_CAP = 64
 
 
 class CampaignWorkerError(WorkerPoolError):
@@ -293,159 +290,9 @@ def _solve_one_run(
     windows: dict[int, tuple[BaseLoad, BaseLoad]],
     env: WorkerEnv,
 ) -> RunResult:
-    """Solve one probe run (batched step-block solver by default).
+    """Solve one probe run with the batched step-block solver.
 
-    ``REPRO_SOLVER=reference`` selects the frozen per-step loop instead;
-    the equality tests run both and assert byte-identical results.
-    """
-    if os.environ.get(_SOLVER_ENV, "").strip() == "reference":
-        return _solve_one_run_reference(task, windows, env)
-    return _solve_one_run_batched(task, windows, env)
-
-
-def _solve_one_run_reference(
-    task: RunTask,
-    windows: dict[int, tuple[BaseLoad, BaseLoad]],
-    env: WorkerEnv,
-) -> RunResult:
-    """The original per-step solve loop, kept frozen as the reference.
-
-    :func:`_solve_one_run_batched` must reproduce this loop's output
-    byte for byte; do not modify one without the other.  Steps are
-    solved in step order; every random draw comes from a
-    ``(job_id[, step])``-labelled stream, so the result is independent of
-    which worker runs this and of whatever ran before it.
-    """
-    from repro.apps.registry import get_application
-    from repro.campaign.datasets import LDMS_FEATURES
-    from repro.campaign.runner import (
-        COUNTER_NOISE,
-        _PT_FLIT_FAMILY,
-        _RT_FLIT_FAMILY,
-        _burst_series,
-        _long_step_model,
-    )
-
-    topo = env.topology
-    seed = env.seed
-    app = get_application(task.key)
-    sm = (
-        _long_step_model(app, task.long_steps)
-        if task.long_steps
-        else app.step_model()
-    )
-    ctx = _get_context(task.job_id, task.key, task.long_steps, task.nodes,
-                       keep=False)
-    self_comm = ctx.mean_contribution()
-
-    durations = sm.compute + sm.mpi
-    mids = task.start_time + np.cumsum(durations) - durations / 2
-    burst = _burst_series(mids, rng_for("burst", task.job_id, seed=seed))
-    collector = AriesNCL(
-        topo,
-        ctx.routers,
-        rng=rng_for("ncl", task.job_id, seed=seed),
-        noise=COUNTER_NOISE,
-    )
-    n_steps = sm.num_steps
-    step_t = np.zeros(n_steps)
-    comp_t = np.zeros(n_steps)
-    mpi_t = np.zeros(n_steps)
-    ldms_t = np.zeros((n_steps, len(LDMS_FEATURES)))
-
-    for step in range(n_steps):
-        rng = rng_for("steps", task.job_id, step, seed=seed)
-        b = float(burst[step])
-        w = float(task.weather[step])
-        comm, io = windows[int(task.window_ids[step])]
-        # Background at the step midpoint: comm "breathing" scales the
-        # steady part, the filesystem part follows its own weather; then
-        # this probe's own mean contribution (folded into the timeline
-        # when its start event crossed) is subtracted back out.
-        base = BaseLoad(
-            np.maximum(
-                b * comm.link_loads + w * io.link_loads
-                - b * self_comm.link_loads,
-                0.0,
-            ),
-            np.maximum(b * comm.inj + w * io.inj - b * self_comm.inj, 0.0),
-            np.maximum(b * comm.ej + w * io.ej - b * self_comm.ej, 0.0),
-            np.maximum(b * comm.vc4 + w * io.vc4 - b * self_comm.vc4, 0.0),
-        )
-        vol_noise = float(rng.lognormal(0.0, app.intensity_sigma))
-        intensity = sm.intensity[step] * vol_noise
-        state, fabric_s, endpoint_s = ctx.solve_step(base, intensity)
-
-        blended = app.blended_slowdown(fabric_s, endpoint_s)
-        t_mpi = (
-            sm.mpi[step]
-            * vol_noise
-            * blended
-            * float(rng.lognormal(0.0, app.residual_sigma))
-        )
-        t_comp = sm.compute[step] * float(rng.lognormal(0.0, app.compute_sigma))
-        t_step = t_comp + t_mpi
-
-        rates = synthesize_router_counters(state)
-        # Background-only rates, to split flit-family integration (see
-        # the counter-attribution note in repro.campaign.runner).
-        bg_state = NetworkState(
-            topology=topo,
-            link_loads=base.link_loads,
-            inj=base.inj,
-            ej=base.ej,
-            vc4=base.vc4,
-        )
-        bg_rates = synthesize_router_counters(bg_state)
-        # This step's nominal duration: its own flit volume is (rate x
-        # nominal time), regardless of how long congestion stretched it.
-        t_nominal = float(sm.compute[step] + sm.mpi[step])
-        job_rates = {}
-        for name, total_rate in rates.items():
-            if name in _PT_FLIT_FAMILY:
-                own = np.maximum(total_rate - bg_rates[name], 0.0)
-                job_rates[name] = own * (t_nominal / t_step)
-            elif name in _RT_FLIT_FAMILY:
-                own = np.maximum(total_rate - bg_rates[name], 0.0)
-                job_rates[name] = own * (t_nominal / t_step) + bg_rates[name]
-            else:
-                job_rates[name] = total_rate
-        collector.record_step(step, state, t_step, router_rates=job_rates)
-        ldms_vals = env.sampler.sample(
-            state,
-            ctx.routers,
-            duration=t_step,
-            rng=rng_for("ldms", task.job_id, step, seed=seed),
-            noise=COUNTER_NOISE,
-            router_rates=rates,
-        )
-        step_t[step] = t_step
-        comp_t[step] = t_comp
-        mpi_t[step] = t_mpi
-        ldms_t[step] = [ldms_vals[n] for n in LDMS_FEATURES]
-
-    prof = profile_run(
-        app, comp_t, mpi_t, rng=rng_for("mpip", task.job_id, seed=seed)
-    )
-    return RunResult(
-        pi=task.pi,
-        step_times=step_t,
-        compute_times=comp_t,
-        mpi_times=mpi_t,
-        counters=collector.matrix(),
-        ldms=ldms_t,
-        routine_times=prof.routine_times,
-    )
-
-
-def _solve_one_run_batched(
-    task: RunTask,
-    windows: dict[int, tuple[BaseLoad, BaseLoad]],
-    env: WorkerEnv,
-) -> RunResult:
-    """Batched step-block solver: bit-identical to the reference loop.
-
-    Steps are processed in blocks of up to ``REPRO_STEP_BLOCK`` steps
+    Steps are processed in blocks of up to :data:`STEP_BLOCK` steps
     sharing one background window.  Per block, the per-step background
     ``BaseLoad`` construction, the network solve
     (:meth:`ProbeRunContext.solve_steps`), both counter syntheses
@@ -454,8 +301,9 @@ def _solve_one_run_batched(
     (:meth:`LDMSSampler.sample_steps`) each run once over
     ``(steps, links)`` / ``(steps, routers)`` arrays.
 
-    Bit-identity with :func:`_solve_one_run_reference` rests on three
-    invariants (each asserted by the equality tests):
+    The result is bit-identical to the original per-step loop, kept
+    frozen as a test oracle in ``tests/campaign/reference_solver.py``.
+    That rests on three invariants (each asserted by the equality tests):
 
     * every batched array op is elementwise/broadcast, an exact
       ``maximum`` reduction, or an explicit per-row 1-D ``bincount`` /
@@ -477,7 +325,6 @@ def _solve_one_run_batched(
         _burst_series,
         _long_step_model,
     )
-    from repro.config import resolve_step_block
 
     topo = env.topology
     seed = env.seed
@@ -517,7 +364,6 @@ def _solve_one_run_batched(
         res_noise[step] = rng.lognormal(0.0, app.residual_sigma)
         comp_noise[step] = rng.lognormal(0.0, app.compute_sigma)
 
-    block_cap = resolve_step_block()
     window_ids = np.asarray(task.window_ids)
     weather = np.asarray(task.weather, dtype=np.float64)
 
@@ -528,14 +374,17 @@ def _solve_one_run_batched(
         while (
             end < n_steps
             and int(window_ids[end]) == wid
-            and end - start < block_cap
+            and end - start < STEP_BLOCK
         ):
             end += 1
         steps = list(range(start, end))
         nb = end - start
         comm, io = windows[wid]
 
-        # Background at each step midpoint (see the reference loop).
+        # Background at each step midpoint: comm "breathing" scales the
+        # steady part, the filesystem part follows its own weather; then
+        # this probe's own mean contribution (folded into the timeline
+        # when its start event crossed) is subtracted back out.
         bcol = burst[start:end, None]
         wcol = weather[start:end, None]
 

@@ -219,41 +219,6 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-#: Default step-block size for the batched campaign solver: each probe
-#: run's steps are solved in blocks of up to this many steps (grouped by
-#: background window).  64 keeps the per-block scratch matrices at a few
-#: megabytes at benchmark scale while amortising per-step NumPy dispatch
-#: overhead; the result is bit-identical for any block size.
-DEFAULT_STEP_BLOCK = 64
-
-
-def resolve_step_block(requested: int | None = None) -> int:
-    """Resolve the batched solver's step-block size.
-
-    Precedence: the ``REPRO_STEP_BLOCK`` environment variable, then
-    ``requested``, then :data:`DEFAULT_STEP_BLOCK`.  The value bounds the
-    ``(steps, links)`` scratch matrices of the batched step-block solver
-    (see :meth:`repro.campaign.runner.ProbeRunContext.solve_steps`); it
-    never changes generated data, so it is *not* part of any cache
-    fingerprint.  Must be >= 1.
-    """
-    env = os.environ.get("REPRO_STEP_BLOCK", "").strip()
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_STEP_BLOCK must be an integer, got {env!r}"
-            ) from None
-    if requested is None:
-        return DEFAULT_STEP_BLOCK
-    if requested < 1:
-        raise ValueError(
-            f"step block size must be >= 1, got {requested}"
-        )
-    return requested
-
-
 @dataclass
 class ReproConfig:
     """Top-level knobs shared by campaign and experiment drivers."""

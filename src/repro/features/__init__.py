@@ -20,8 +20,6 @@ here exactly once per dataset:
 from repro.features.spec import LDMS_SPEC, TIERS, FeatureSpec
 from repro.features.store import (
     FEATURE_FORMAT_VERSION,
-    STATS,
-    CacheStats,
     FeatureStore,
     clear_feature_caches,
     get_store,
@@ -39,8 +37,6 @@ __all__ = [
     "FeatureStore",
     "get_store",
     "clear_feature_caches",
-    "CacheStats",
-    "STATS",
     "FEATURE_FORMAT_VERSION",
     "build_windows",
     "interleave_windows",

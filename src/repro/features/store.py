@@ -54,7 +54,8 @@ FEATURE_FORMAT_VERSION = 1
 
 #: The store's counters on the process-wide registry
 #: (:data:`repro.obs.METRICS`); instrument references stay valid across
-#: ``METRICS.reset()``, so caching them here is safe.
+#: ``METRICS.reset()``, so caching them here is safe.  ``misses`` counts
+#: actual feature builds; a warm pipeline must show a zero miss delta.
 _HITS = METRICS.counter("features.cache.hits")
 _DISK_HITS = METRICS.counter("features.cache.disk_hits")
 _MISSES = METRICS.counter("features.cache.misses")
@@ -65,44 +66,6 @@ _BUILD_SECONDS = METRICS.histogram("features.build.seconds")
 #: a warm stream must show exactly one miss per consumed token.
 _APPEND_HITS = METRICS.counter("features.append.hit")
 _APPEND_MISSES = METRICS.counter("features.append.miss")
-
-
-class CacheStats:
-    """Back-compat view of the feature-cache counters (see :data:`STATS`).
-
-    The counts themselves live on :data:`repro.obs.METRICS` (so traces
-    and the ``repro.obs report`` CLI see them); this facade keeps the
-    original ``hits``/``disk_hits``/``misses``/``snapshot()`` surface.
-    ``misses`` counts actual feature builds; a warm pipeline must show a
-    zero miss delta (asserted in ``tests/features``).
-    """
-
-    @property
-    def hits(self) -> int:
-        return _HITS.value
-
-    @property
-    def disk_hits(self) -> int:
-        return _DISK_HITS.value
-
-    @property
-    def misses(self) -> int:
-        return _MISSES.value
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.disk_hits + self.misses
-
-    def reset(self) -> None:
-        for c in (_HITS, _DISK_HITS, _MISSES):
-            c._reset()
-
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.hits, self.disk_hits, self.misses)
-
-
-#: Process-wide cache statistics, aggregated over all stores.
-STATS = CacheStats()
 
 #: Live stores, for :func:`clear_feature_caches`.
 _LIVE_STORES: "weakref.WeakSet[FeatureStore]" = weakref.WeakSet()

@@ -1,31 +1,35 @@
 """The batched step-block solver is bit-identical to the per-step reference.
 
 The campaign cold path solves each probe run's steps in memory-bounded
-blocks (``REPRO_STEP_BLOCK``); ``REPRO_SOLVER=reference`` selects the
-frozen per-step loop instead (:func:`repro.campaign.parallel
-._solve_one_run_reference`).  These tests enforce the contract the
-refactor was built on: both solvers produce *byte-identical* run arrays
-(``assert_array_equal``, not ``allclose``) for every cell, worker count,
-and block size — including a long (620-step) run whose steps span many
-background windows, and the degenerate empty-flow placement.
+blocks (:data:`repro.campaign.parallel.STEP_BLOCK`).  The reference tests
+swap in the frozen per-step loop (:mod:`tests.campaign.reference_solver`)
+for :func:`repro.campaign.parallel._solve_one_run` and enforce the
+contract the batched solver was built on: both produce *byte-identical*
+run arrays (``assert_array_equal``, not ``allclose``) for every cell,
+worker count, and block size — including a long (620-step) run whose
+steps span many background windows, and the degenerate empty-flow
+placement.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.apps.base import Application, StepModel
+from repro.campaign import parallel as campaign_parallel
 from repro.campaign.runner import (
     CampaignConfig,
     CampaignRunner,
     ProbeRunContext,
 )
-from repro.config import DEFAULT_STEP_BLOCK, resolve_step_block
 from repro.network.engine import BaseLoad, CongestionEngine
 from repro.network.traffic import FlowSet
 from repro.parallel import shutdown_pool
 from repro.topology.dragonfly import DragonflyTopology
+from tests.campaign import reference_solver
 
 #: Per-run arrays that must match bitwise between the two solvers.
 RUN_ARRAYS = ("step_times", "compute_times", "mpi_times", "counters", "ldms")
@@ -56,16 +60,26 @@ def batched_serial():
     return CampaignRunner(_cfg(workers=1)).run()
 
 
+def _use_reference_solver(monkeypatch) -> None:
+    monkeypatch.setattr(
+        campaign_parallel, "_solve_one_run", reference_solver.solve_one_run
+    )
+
+
 def test_reference_solver_bit_identical(batched_serial, monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "reference")
+    _use_reference_solver(monkeypatch)
     reference = CampaignRunner(_cfg(workers=1)).run()
     _assert_identical(batched_serial, reference)
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched solver only when forked",
+)
 def test_reference_solver_bit_identical_parallel(batched_serial, monkeypatch):
-    # A fresh pool so the subprocess workers inherit the env override.
+    # A fresh pool, forked after the patch, so the workers inherit it.
     shutdown_pool()
-    monkeypatch.setenv("REPRO_SOLVER", "reference")
+    _use_reference_solver(monkeypatch)
     try:
         reference = CampaignRunner(_cfg(workers=4)).run()
     finally:
@@ -77,7 +91,7 @@ def test_reference_solver_bit_identical_dfplus_cell(monkeypatch):
     """The non-default bench cell (Dragonfly+ geometry, pinned Valiant)."""
     cfg = _cfg(workers=1, topology="df+", routing="valiant")
     batched = CampaignRunner(cfg).run()
-    monkeypatch.setenv("REPRO_SOLVER", "reference")
+    _use_reference_solver(monkeypatch)
     reference = CampaignRunner(cfg).run()
     _assert_identical(batched, reference)
 
@@ -95,7 +109,7 @@ def test_block_size_invariance_long_run(monkeypatch):
     )
     results = {}
     for block in (1, 7, 64):
-        monkeypatch.setenv("REPRO_STEP_BLOCK", str(block))
+        monkeypatch.setattr(campaign_parallel, "STEP_BLOCK", block)
         results[block] = CampaignRunner(cfg).run()
     assert any(
         len(run.step_times) == 620
@@ -106,7 +120,7 @@ def test_block_size_invariance_long_run(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# Unit surface: solve_steps on a degenerate placement, config plumbing.
+# Unit surface: solve_steps on a degenerate placement.
 # --------------------------------------------------------------------------- #
 
 
@@ -132,7 +146,7 @@ class _SilentApp(Application):
 
 
 def test_solve_steps_empty_flows():
-    """solve_steps must handle a flowless placement and match solve_step."""
+    """solve_steps must handle a flowless placement and match the oracle."""
     topo = DragonflyTopology.from_preset("tiny")
     engine = CongestionEngine(topo)
     app = _SilentApp(2)
@@ -152,28 +166,11 @@ def test_solve_steps_empty_flows():
     assert loads.shape == (n, topo.num_links)
     step_base = BaseLoad.zeros(topo)
     for i in range(n):
-        state, fab, ep = ctx.solve_step(step_base, 1.0)
+        state, fab, ep = reference_solver.solve_step(ctx, step_base, 1.0)
         np.testing.assert_array_equal(loads[i], state.link_loads)
         np.testing.assert_array_equal(inj[i], state.inj)
         assert fabric[i] == fab == 1.0  # no flows -> no slowdown
         assert endpoint[i] == ep == 1.0
-
-
-def test_resolve_step_block(monkeypatch):
-    monkeypatch.delenv("REPRO_STEP_BLOCK", raising=False)
-    assert resolve_step_block(None) == DEFAULT_STEP_BLOCK
-    assert resolve_step_block(7) == 7
-    with pytest.raises(ValueError):
-        resolve_step_block(0)
-    monkeypatch.setenv("REPRO_STEP_BLOCK", "9")
-    assert resolve_step_block(None) == 9
-    assert resolve_step_block(2) == 9  # env wins over config
-    monkeypatch.setenv("REPRO_STEP_BLOCK", "not-a-number")
-    with pytest.raises(ValueError):
-        resolve_step_block()
-    monkeypatch.setenv("REPRO_STEP_BLOCK", "-3")
-    with pytest.raises(ValueError):
-        resolve_step_block()
 
 
 def test_router_link_sums_batched_matches_per_row():

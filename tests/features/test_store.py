@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from repro.campaign.datasets import RunDataset, RunRecord
 from repro.features import (
     LDMS_SPEC,
-    STATS,
     TIERS,
     FeatureSpec,
     FeatureStore,
@@ -16,6 +17,23 @@ from repro.features import (
     clear_feature_caches,
     get_store,
 )
+from repro.obs import METRICS
+
+
+class CacheCounts(NamedTuple):
+    hits: int
+    disk_hits: int
+    misses: int
+
+
+#: The feature store's counters on the process-wide registry.
+_COUNTERS = [METRICS.counter(f"features.cache.{name}") for name in CacheCounts._fields]
+_BASELINE = [0] * len(_COUNTERS)
+
+
+def _stats() -> CacheCounts:
+    """Feature-cache counts since the current test started."""
+    return CacheCounts(*(c.value - b for c, b in zip(_COUNTERS, _BASELINE)))
 
 
 def _dataset(key="SYN-64", n=6, t=12, seed=0):
@@ -43,11 +61,10 @@ def _dataset(key="SYN-64", n=6, t=12, seed=0):
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(monkeypatch, tmp_path):
-    """Point disk persistence at a throwaway dir and reset the counters."""
+    """Point disk persistence at a throwaway dir and zero the counts."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    STATS.reset()
-    yield tmp_path
-    STATS.reset()
+    _BASELINE[:] = [c.value for c in _COUNTERS]
+    return tmp_path
 
 
 # --------------------------------------------------------------------- #
@@ -58,9 +75,9 @@ def _isolated_cache(monkeypatch, tmp_path):
 def test_memo_hit_after_first_build():
     store = get_store(_dataset())
     a = store.features("app")
-    assert STATS.snapshot() == (0, 0, 1)
+    assert _stats() == (0, 0, 1)
     b = store.features("app")
-    assert STATS.snapshot() == (1, 0, 1)
+    assert _stats() == (1, 0, 1)
     assert a is b
 
 
@@ -88,9 +105,9 @@ def test_aliased_spec_shares_cache_entry():
     assert alias.token == TIERS["app+placement"].token
     store = get_store(_dataset())
     store.features("app+placement")
-    misses = STATS.misses
+    misses = _stats().misses
     store.features(alias)
-    assert STATS.misses == misses  # served from the same memo entry
+    assert _stats().misses == misses  # served from the same memo entry
 
 
 def test_unknown_tier_raises():
@@ -104,8 +121,8 @@ def test_clear_feature_caches_drops_memo():
     clear_feature_caches()
     store.features("app")
     # Second build is not a memo hit: disk hit (persisted) or rebuild.
-    assert STATS.hits == 0
-    assert STATS.disk_hits + STATS.misses == 2
+    assert _stats().hits == 0
+    assert _stats().disk_hits + _stats().misses == 2
 
 
 # --------------------------------------------------------------------- #
@@ -116,14 +133,14 @@ def test_clear_feature_caches_drops_memo():
 def test_disk_roundtrip_across_objects(_isolated_cache):
     a = _dataset()
     ref = get_store(a).features("app")
-    assert STATS.snapshot() == (0, 0, 1)
+    assert _stats() == (0, 0, 1)
     entries = list(_isolated_cache.rglob("tier-app.npz"))
     assert len(entries) == 1
 
     # A distinct object with identical content hits the disk entry.
     b = _dataset()
     got = get_store(b).features("app")
-    assert STATS.snapshot() == (0, 1, 1)
+    assert _stats() == (0, 1, 1)
     assert np.array_equal(got, ref)
 
 
@@ -150,7 +167,7 @@ def test_corrupt_entry_warns_and_regenerates(_isolated_cache):
     with pytest.warns(RuntimeWarning, match="corrupt feature cache entry"):
         got = get_store(_dataset()).features("app")
     assert np.array_equal(got, ref)
-    assert STATS.disk_hits == 0 and STATS.misses == 2
+    assert _stats().disk_hits == 0 and _stats().misses == 2
     # The regenerated entry is valid again.
     with np.load(entry) as npz:
         assert np.array_equal(npz["x"], ref)
@@ -220,7 +237,7 @@ def test_window_params_validated_before_cache():
         store.windows("app", m=4, k=2, align_m=2)  # align_m < m
     with pytest.raises(ValueError):
         store.windows("app", m=0, k=1)
-    assert STATS.total == 0  # nothing was built or cached
+    assert sum(_stats()) == 0  # nothing was built or cached
 
 
 def test_single_run_dataset_windows():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import BLUE_LINK_BW, CORI
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.metrics import (
+from tests.topology.metrics import (
     bisection_bandwidth,
     link_load_balance,
     measured_diameter,
