@@ -7,7 +7,8 @@ is the regression reference that :mod:`benchmarks.compare_bench` gates CI
 against.
 
 Wall times are not portable across machines, so each run also times a
-fixed single-core calibration workload (a GBR fit on synthetic data) and
+fixed single-core calibration workload (histogram scans in plain NumPy,
+independent of the code under test) and
 reports ``normalized_wall = wall / calibration``.  The CI gate compares
 *normalized* serial walls, which cancels raw CPU speed; the measured
 multi-worker speedup is recorded for information (it depends on the
@@ -43,11 +44,12 @@ from repro.parallel import shutdown_pool
 #: Drivers worth gating: the RFE sweep (fig09), both ablation grids
 #: (fig08/fig10), the per-dataset MI table (table03), the warm second
 #: `all` pass (the stage graph's near-pure cache read), cold campaign
-#: generation on a non-default (topology, routing) cell, and the
-#: streaming append (one-window generation + shard-scoped retrain).
+#: generation on a non-default (topology, routing) cell, the streaming
+#: append (one-window generation + shard-scoped retrain), and the ML
+#: layer alone on synthetic input (tree, GBR, one RFE fold).
 BENCHES = [
     "fig09", "fig08", "fig10", "table03",
-    "warm_all", "campaign_cold", "stream_append",
+    "warm_all", "campaign_cold", "stream_append", "ml_tree",
 ]
 
 #: The cell ``campaign_cold`` generates on.  Pinned off the default so
@@ -56,16 +58,35 @@ BENCHES = [
 CAMPAIGN_COLD_CELL = ("df+", "valiant")
 
 
-def calibrate() -> float:
-    """Seconds for a fixed single-core GBR workload (machine speed unit)."""
-    from repro.ml.gbr import GradientBoostedRegressor
+#: Passes of the calibration scan (~0.1 s on a 2-vCPU Xeon host).
+_CALIBRATION_REPS = 420
 
+
+def calibrate() -> float:
+    """Seconds for a fixed single-core NumPy workload (machine speed unit).
+
+    Per-feature histogram scans over fixed random codes: the small-array
+    NumPy call mix the ML layer spends its time in, written out here
+    instead of calling :mod:`repro` so that speeding up the code under
+    test never shrinks the unit it is measured in.  Best of three passes
+    damps one-off scheduler noise.
+    """
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2000, 12))
-    y = x[:, 0] - 2.0 * x[:, 5] + rng.normal(scale=0.1, size=2000)
-    t0 = time.perf_counter()
-    GradientBoostedRegressor(n_estimators=40, max_depth=3).fit(x, y)
-    return time.perf_counter() - t0
+    codes = rng.integers(0, 64, size=(2000, 12))
+    y = rng.normal(size=2000)
+    best = np.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for rep in range(_CALIBRATION_REPS):
+            rows = slice(rep % 500, None)
+            for f in range(codes.shape[1]):
+                cnt = np.bincount(codes[rows, f], minlength=64)
+                sm = np.bincount(codes[rows, f], weights=y[rows], minlength=64)
+                c_cnt = np.cumsum(cnt)[:-1]
+                gain = np.cumsum(sm)[:-1] ** 2 / np.maximum(c_cnt, 1)
+                np.argmax(gain)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def timed_run(name: str, campaign, fast: bool, workers: int) -> float:
@@ -196,6 +217,81 @@ def bench_campaign_cold(fast: bool, worker_counts: list[int]) -> dict:
             serial["wall_s"] / fastest["wall_s"], 3
         ),
         "best_speedup_workers": fastest["workers"],
+    }
+
+
+#: Rows x features of the ml_tree input: one 10-fold train split of the
+#: 600-sample fast Fig. 9 draw over the 13 app counters.
+ML_TREE_SHAPE = (540, 13)
+
+
+def bench_ml_tree() -> dict:
+    """Time the ML layer alone: tree fit, GBR fit, one RFE fold.
+
+    A fixed synthetic input of the fast Fig. 9 shape, so the number
+    moves only when ``ml/tree.py``/``gbr.py``/``rfe.py`` do — the
+    driver benches mix campaign, features and render into theirs.
+    Each part is timed five times; the median is reported with the
+    min/max spread, and the gated wall is the sum of the medians.
+    """
+    from repro.ml.gbr import GradientBoostedRegressor
+    from repro.ml.rfe import _fold_relevance, default_estimator
+    from repro.ml.tree import Binner, DecisionTreeRegressor
+
+    n, h = ML_TREE_SHAPE
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(n + 60, h))  # 60 held-out rows: 10 folds of 600
+    y = x[:, 0] - 2.0 * x[:, 5] + 0.5 * x[:, 8] ** 2 + rng.normal(scale=0.3, size=len(x))
+    xtr, ytr, xte, yte = x[:n], y[:n], x[n:], y[n:]
+    binner = Binner(64).fit(xtr)
+    codes = binner.transform(xtr)
+    # (callable, fits per timed sample): single trees are sub-ms, so
+    # they are timed in batches and reported per fit.
+    parts = {
+        "tree_fit": (lambda: DecisionTreeRegressor().fit_binned(codes, ytr), 100),
+        "gbr_fit": (
+            lambda: GradientBoostedRegressor(n_estimators=60).fit_binned(
+                codes, ytr, binner
+            ),
+            3,
+        ),
+        "rfe_fold": (
+            lambda: _fold_relevance(xtr, ytr, xte, yte, None, default_estimator, 0),
+            1,
+        ),
+    }
+    repeats = 5
+    calibration = calibrate()
+    out = {}
+    for name, (fn, batch) in parts.items():
+        fn()  # warm-up: imports and first-call allocations
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                fn()
+            samples.append((time.perf_counter() - t0) / batch)
+        med = float(np.median(samples))
+        out[name] = {
+            "wall_s": round(med, 6),
+            "min_s": round(min(samples), 6),
+            "max_s": round(max(samples), 6),
+            "normalized_wall": round(med / calibration, 4),
+        }
+        print(f"  ml_tree {name}: {med * 1e3:.2f} ms "
+              f"[{min(samples) * 1e3:.2f}, {max(samples) * 1e3:.2f}] "
+              f"({med / calibration:.3f}x calibration)")
+    return {
+        "name": "ml_tree",
+        "mode": "synthetic",
+        "dataset_fingerprint": f"synthetic-{n}x{h}-seed0",
+        "cpu_count": os.cpu_count(),
+        "calibration_s": round(calibration, 4),
+        "repeats": repeats,
+        "parts": out,
+        "serial_normalized_wall": round(
+            sum(p["normalized_wall"] for p in out.values()), 4
+        ),
     }
 
 
@@ -407,11 +503,13 @@ def main(argv: list[str] | None = None) -> int:
     fingerprint = cfg.fingerprint()
     print(f"campaign {fingerprint} (mode={'fast' if args.fast else 'full'}, "
           f"cpu_count={os.cpu_count()})")
-    # campaign_cold and stream_append generate their own campaigns;
-    # don't pay for the default one unless another scenario needs it.
+    # campaign_cold and stream_append generate their own campaigns and
+    # ml_tree needs none; don't pay for the default one unless another
+    # scenario needs it.
     campaign = (
         run_campaign(cfg, progress=True)
-        if args.profile or set(benches) - {"campaign_cold", "stream_append"}
+        if args.profile
+        or set(benches) - {"campaign_cold", "stream_append", "ml_tree"}
         else None
     )
 
@@ -427,6 +525,8 @@ def main(argv: list[str] | None = None) -> int:
             result = bench_campaign_cold(args.fast, worker_counts)
         elif name == "stream_append":
             result = bench_stream_append(args.fast)
+        elif name == "ml_tree":
+            result = bench_ml_tree()
         elif name == "warm_all":
             result = bench_warm_all(campaign, args.fast, fingerprint)
         else:

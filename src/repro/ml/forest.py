@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import Binner, DecisionTreeRegressor
+from repro.ml.tree import Binner, DecisionTreeRegressor, check_n_bins
 
 
 class RandomForestRegressor:
@@ -30,6 +30,7 @@ class RandomForestRegressor:
             raise ValueError("n_estimators must be >= 1")
         if not 0 < max_features <= 1:
             raise ValueError("max_features must be in (0, 1]")
+        check_n_bins(n_bins)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import Binner, DecisionTreeRegressor
+from repro.ml.tree import Binner, DecisionTreeRegressor, check_binned, check_n_bins
 
 
 class GradientBoostedRegressor:
@@ -32,6 +32,7 @@ class GradientBoostedRegressor:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0 < subsample <= 1:
             raise ValueError("subsample must be in (0, 1]")
+        check_n_bins(n_bins)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -70,6 +71,7 @@ class GradientBoostedRegressor:
         y = np.asarray(y, dtype=np.float64).ravel()
         if binned.ndim != 2 or len(binned) != len(y):
             raise ValueError("binned must be (n, h) and y length-n")
+        check_binned(binned, self.n_bins)
         n, h = binned.shape
         rng = np.random.default_rng(self.random_state)
         self.binner_ = binner

@@ -1,10 +1,11 @@
 """Histogram-based decision-tree regression (the GBR base learner).
 
 Features are quantile-binned once (uint8 codes); split search per node is
-then a handful of ``bincount`` calls and cumulative scans per feature —
-the same design as LightGBM/sklearn's ``HistGradientBoosting``, scaled
-down.  Gradient boosting fits hundreds of trees per dataset, so this
-vectorisation is what keeps the Fig. 9 RFE sweep tractable.
+then two ``bincount`` calls, one cumulative scan and one ``argmax`` over
+all features at once, keyed ``code + feature * n_bins`` — the histogram
+design of LightGBM/sklearn's ``HistGradientBoosting``, scaled down.
+Gradient boosting fits hundreds of small trees per dataset, so per-node
+NumPy call overhead, not arithmetic, is what the Fig. 9 RFE sweep pays.
 """
 
 from __future__ import annotations
@@ -15,12 +16,25 @@ import numpy as np
 _LEAF = -1
 
 
+def check_n_bins(n_bins: int) -> None:
+    """Codes are uint8, so a histogram has between 2 and 256 bins."""
+    if not 2 <= n_bins <= 256:
+        raise ValueError("n_bins must be in [2, 256]")
+
+
+def check_binned(binned: np.ndarray, n_bins: int) -> None:
+    """Reject empty input and codes outside ``[0, n_bins)``."""
+    if binned.size == 0:
+        raise ValueError("cannot fit on zero samples or zero features")
+    if binned.min() < 0 or binned.max() >= n_bins:
+        raise ValueError(f"bin codes must lie in [0, {n_bins})")
+
+
 class Binner:
     """Quantile binning shared by all trees of an ensemble."""
 
     def __init__(self, n_bins: int = 64) -> None:
-        if not 2 <= n_bins <= 256:
-            raise ValueError("n_bins must be in [2, 256]")
+        check_n_bins(n_bins)
         self.n_bins = n_bins
         self.edges_: list[np.ndarray] | None = None
 
@@ -28,6 +42,8 @@ class Binner:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("x must be 2-D (n_samples, n_features)")
+        if len(x) == 0:
+            raise ValueError("cannot fit on zero samples")
         qs = np.linspace(0, 1, self.n_bins + 1)[1:-1]
         self.edges_ = [
             np.unique(np.quantile(x[:, f], qs)) for f in range(x.shape[1])
@@ -104,6 +120,7 @@ class DecisionTreeRegressor:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        check_n_bins(n_bins)
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.n_bins = n_bins
@@ -129,8 +146,22 @@ class DecisionTreeRegressor:
     def fit_binned(
         self, binned: np.ndarray, y: np.ndarray
     ) -> "DecisionTreeRegressor":
-        """Fit on pre-binned uint8 codes (ensemble fast path)."""
+        """Fit on pre-binned uint8 codes (ensemble fast path).
+
+        Each node searches every feature's splits at once: the node's
+        codes are keyed ``code + feature * n_bins``, so one ``bincount``
+        pair fills all ``(H, n_bins)`` histograms, one ``cumsum`` scans
+        them, and one flat ``argmax`` over the ``(H, n_bins - 1)`` gain
+        matrix picks the split.  Row-major order makes that argmax keep
+        the first feature, then the first bin, on ties.
+        """
+        check_binned(binned, self.n_bins)
         n, h = binned.shape
+        nb = self.n_bins
+        # Disjoint key ranges per feature: a code >= n_bins would spill
+        # into the next feature's bins, hence the check above.
+        keys = binned + np.arange(h) * nb
+        n_keys = h * nb
         gains = np.zeros(h)
         self._feature, self._split_bin = [], []
         self._left, self._right, self._value = [], [], []
@@ -146,7 +177,6 @@ class DecisionTreeRegressor:
         root = new_node()
         stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
         min_leaf = self.min_samples_leaf
-        nb = self.n_bins
 
         while stack:
             node, idx, depth = stack.pop()
@@ -157,35 +187,30 @@ class DecisionTreeRegressor:
             if depth >= self.max_depth or count < 2 * min_leaf:
                 continue
             base = total * total / count
-            best_gain = 1e-12
-            best_f = -1
-            best_bin = -1
-            sub = binned[idx]
-            for f in range(h):
-                codes = sub[:, f]
-                cnt = np.bincount(codes, minlength=nb).astype(np.float64)
-                sm = np.bincount(codes, weights=ys, minlength=nb)
-                c_cnt = np.cumsum(cnt)[:-1]
-                c_sum = np.cumsum(sm)[:-1]
-                n_r = count - c_cnt
-                valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
-                if not valid.any():
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gain = (
-                        c_sum**2 / np.maximum(c_cnt, 1)
-                        + (total - c_sum) ** 2 / np.maximum(n_r, 1)
-                        - base
-                    )
-                gain[~valid] = -np.inf
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best_f = f
-                    best_bin = b
-            if best_f < 0:
+            sub = keys[idx]
+            # Row-major ravel: each key receives its rows in index order,
+            # so per-bin sums accumulate exactly as a per-feature bincount.
+            flat_keys = sub.ravel()
+            cnt = np.bincount(flat_keys, minlength=n_keys).astype(np.float64)
+            sm = np.bincount(flat_keys, weights=np.repeat(ys, h), minlength=n_keys)
+            # Left-side prefix sums for splits after bins 0 .. nb-2.
+            c_cnt = np.cumsum(cnt.reshape(h, nb)[:, :-1], axis=1)
+            c_sum = np.cumsum(sm.reshape(h, nb)[:, :-1], axis=1)
+            n_r = count - c_cnt
+            valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = (
+                    c_sum**2 / np.maximum(c_cnt, 1)
+                    + (total - c_sum) ** 2 / np.maximum(n_r, 1)
+                    - base
+                )
+            gain[~valid] = -np.inf
+            best = int(np.argmax(gain))
+            best_gain = float(gain.flat[best])
+            if not best_gain > 1e-12:
                 continue
-            go_left = sub[:, best_f] <= best_bin
+            best_f, best_bin = divmod(best, nb - 1)
+            go_left = sub[:, best_f] <= best_f * nb + best_bin
             li, ri = idx[go_left], idx[~go_left]
             gains[best_f] += best_gain
             self._feature[node] = best_f

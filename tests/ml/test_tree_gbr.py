@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.metrics import r2_score
 from repro.ml.tree import Binner, DecisionTreeRegressor
@@ -270,3 +271,46 @@ def test_gbr_fit_binned_bit_identical_to_plain_fit(friedman):
     np.testing.assert_array_equal(
         plain.feature_importances_, binned.feature_importances_
     )
+
+
+# --------------------------------------------------------------------- #
+# Input guards
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("n_bins", [1, 257, 300])
+def test_estimators_reject_n_bins_out_of_range(n_bins):
+    for make in (DecisionTreeRegressor, GradientBoostedRegressor, RandomForestRegressor):
+        with pytest.raises(ValueError, match="n_bins"):
+            make(n_bins=n_bins)
+
+
+def test_fit_binned_rejects_codes_beyond_n_bins():
+    # With features keyed ``code + feature * n_bins``, code 16 of feature
+    # 0 would be counted as bin 0 of feature 1 instead of failing.
+    codes = np.zeros((20, 2), dtype=np.uint8)
+    codes[3, 0] = 16
+    y = np.arange(20.0)
+    with pytest.raises(ValueError, match="bin codes"):
+        DecisionTreeRegressor(n_bins=16).fit_binned(codes, y)
+    with pytest.raises(ValueError, match="bin codes"):
+        GradientBoostedRegressor(n_bins=16).fit_binned(codes, y, Binner(16))
+    with pytest.raises(ValueError, match="bin codes"):
+        DecisionTreeRegressor(n_bins=16).fit_binned(codes.astype(int) - 17, y)
+
+
+@pytest.mark.parametrize(
+    "make", [DecisionTreeRegressor, GradientBoostedRegressor, RandomForestRegressor]
+)
+def test_fit_rejects_empty_input(make):
+    with pytest.raises(ValueError, match="zero samples"):
+        make().fit(np.empty((0, 3)), np.empty(0))
+
+
+def test_fit_binned_rejects_empty_input():
+    with pytest.raises(ValueError, match="zero samples"):
+        DecisionTreeRegressor().fit_binned(np.empty((0, 3), dtype=np.uint8), np.empty(0))
+    with pytest.raises(ValueError, match="zero samples"):
+        GradientBoostedRegressor().fit_binned(
+            np.empty((0, 3), dtype=np.uint8), np.empty(0), Binner()
+        )
