@@ -115,7 +115,7 @@ def load_or_build_manifest(ctx) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def rfe_ranking(ctx):
     """Fig. 9 / deviation RFE sweep for one dataset."""
     from repro.analysis.deviation import deviation_analysis

@@ -11,16 +11,19 @@ Implementation: on each CV split, run the elimination path on the train
 fold, score every intermediate subset on the held-out fold, keep the
 best-scoring subset, and count feature membership across splits.
 
-Performance: the sweep fits O(H² · n_splits) boosted ensembles, and the
+Performance: each fold fits H boosted ensembles for H features, and the
 folds are embarrassingly parallel — :func:`relevance_scores` fans them
 out over :mod:`repro.parallel` (``workers=`` / ``REPRO_WORKERS``), with
 results reduced in fold order so any worker count yields bit-identical
 ``scores``/``mapes``/``chosen_subsets``.  Inside each fold, the quantile
-:class:`~repro.ml.tree.Binner` is fitted once on the train fold and the
-O(H) nested-subset refits reuse its codes by column slicing (quantile
-edges are per-feature, so sliced codes are exactly what a per-subset
-refit would bin); the k=H nested fit doubles as the full-feature MAPE
-model instead of being fitted a third time.
+:class:`~repro.ml.tree.Binner` is fitted once on the train fold and
+every fit reuses its codes by column slicing (quantile edges are
+per-feature, so sliced codes are exactly what a per-subset refit would
+bin).  The nested subsets are scored with the elimination path's own
+models: the subset of the k best-ranked features is the set RFE fitted
+when k features were left, so only sizes off the path (k = 1, and any
+sizes a ``step > 1`` path skips) get a fit of their own.  The k=H model
+is also the full-feature MAPE model.
 """
 
 from __future__ import annotations
@@ -63,12 +66,33 @@ def _binned_surface(est) -> "tuple[object, int] | None":
     return None
 
 
+def _fit_columns(est, x, y, cols, prebinned):
+    """Fit ``est`` on columns ``cols`` of ``x`` and return it.
+
+    With ``prebinned`` = ``(codes, binner)`` for ``x`` and an estimator
+    that supports binned fits, the fit reads column-sliced codes instead
+    of re-binning the subset (bit-identical models, since quantile edges
+    are per-feature).
+    """
+    surface = _binned_surface(est) if prebinned is not None else None
+    if surface is not None:
+        codes, binner = prebinned
+        surface[0].fit_binned(codes[:, cols], y, binner.subset(cols))
+    else:
+        est.fit(x[:, cols], y)
+    return est
+
+
 class RFE:
     """Single-pass recursive feature elimination.
 
     Works with any :class:`~repro.ml.pipeline.Estimator` that exposes
     ``feature_importances_`` (GBR, forest, ridge, or a pipeline around
-    one) — the paper uses GBR.
+    one) — the paper uses GBR.  ``estimator_factory`` must return
+    identically configured, deterministic estimators: every fitted model
+    on the path is kept in :attr:`estimators_` and stands in for a
+    fresh fit on the same subset (the nested-subset scores of
+    :func:`relevance_scores` are these models).
     """
 
     def __init__(
@@ -84,6 +108,9 @@ class RFE:
         self.ranking_: np.ndarray | None = None
         #: Elimination order, worst first.
         self.elimination_order_: list[int] = []
+        #: The model fitted at each iteration of the path, keyed by its
+        #: feature subset in column order (a sorted tuple).
+        self.estimators_: dict[tuple[int, ...], Estimator] = {}
 
     def fit(
         self,
@@ -113,32 +140,30 @@ class RFE:
         h: int,
         prebinned: "tuple[np.ndarray, Binner] | None" = None,
     ) -> "RFE":
-        codes, binner = prebinned if prebinned is not None else (None, None)
         remaining = list(range(h))
         ranking = np.empty(h, dtype=np.int64)
         order: list[int] = []
+        estimators: dict[tuple[int, ...], Estimator] = {}
         rank = h
         while len(remaining) > 1:
-            est = self.estimator_factory()
-            surface = _binned_surface(est) if codes is not None else None
-            if surface is not None:
-                target, _ = surface
-                target.fit_binned(codes[:, remaining], y, binner.subset(remaining))
-            else:
-                est.fit(x[:, remaining], y)
+            est = _fit_columns(self.estimator_factory(), x, y, remaining, prebinned)
+            estimators[tuple(remaining)] = est
             imp = est.feature_importances_
             k = min(self.step, len(remaining) - 1)
-            worst_local = np.argsort(imp)[:k]
-            # Eliminate worst-first so ranks are deterministic.
-            for wl in sorted(worst_local, key=lambda i: imp[i]):
+            # Worst first; a stable sort drops the lower index on ties,
+            # whatever the CPU's SIMD sort would pick.
+            worst_local = np.argsort(imp, kind="stable")[:k]
+            for wl in worst_local:
                 f = remaining[wl]
                 ranking[f] = rank
                 rank -= 1
                 order.append(f)
-            remaining = [f for i, f in enumerate(remaining) if i not in set(worst_local)]
+            dropped = set(worst_local.tolist())
+            remaining = [f for i, f in enumerate(remaining) if i not in dropped]
         ranking[remaining[0]] = 1
         self.ranking_ = ranking
         self.elimination_order_ = order
+        self.estimators_ = estimators
         return self
 
 
@@ -171,52 +196,44 @@ def _fold_relevance(
 ) -> tuple[list[int], float]:
     """One CV fold: elimination path, nested-subset scoring, fold MAPE.
 
-    Top-level so it pickles into pool workers; deterministic in its
-    arguments, so the result is independent of which worker runs it.
+    Every nested subset on the elimination path is scored with the
+    path's own model; see :func:`relevance_scores` for why that equals a
+    fresh fit.  Top-level so it pickles into pool workers; deterministic
+    in its arguments, so the result is independent of which worker runs
+    it.
     """
     with span("ml.rfe.fold", fold=fold):
         h = xtr.shape[1]
-        # Bin the fold once; every nested refit below column-slices these
-        # codes (per-feature quantile edges make that bit-identical to
-        # re-binning the subset).  Falls back to plain fits when the
-        # factory's estimators lack the binned surface.
-        prebinned = None
-        codes_tr = codes_te = binner = None
+        # Bin the fold once; every fit below column-slices these codes.
+        # Falls back to plain fits when the factory's estimators lack
+        # the binned surface.
+        prebinned = codes_te = None
         surface = _binned_surface(estimator_factory())
         if surface is not None:
-            _, n_bins = surface
-            binner = Binner(n_bins).fit(xtr)
-            codes_tr = binner.transform(xtr)
+            binner = Binner(surface[1]).fit(xtr)
+            prebinned = (binner.transform(xtr), binner)
             codes_te = binner.transform(xte)
-            prebinned = (codes_tr, binner)
-        # Elimination path on the train fold.
-        rfe = RFE(estimator_factory)
-        rfe.fit(xtr, ytr, prebinned=prebinned)
-        ranking = rfe.ranking_
+        rfe = RFE(estimator_factory).fit(xtr, ytr, prebinned=prebinned)
         # Score nested subsets on the held-out fold; keep the best.
         best_err = np.inf
         best_subset: list[int] = list(range(h))
-        full_pred: np.ndarray | None = None
         for k in range(1, h + 1):
-            subset = [f for f in range(h) if ranking[f] <= k]
-            est = estimator_factory()
-            surface = _binned_surface(est) if prebinned is not None else None
+            subset = [f for f in range(h) if rfe.ranking_[f] <= k]
+            est = rfe.estimators_.get(tuple(subset))
+            if est is None:
+                est = _fit_columns(estimator_factory(), xtr, ytr, subset, prebinned)
+            surface = _binned_surface(est) if codes_te is not None else None
             if surface is not None:
-                target, _ = surface
-                target.fit_binned(codes_tr[:, subset], ytr, binner.subset(subset))
-                pred = target.predict_binned(codes_te[:, subset])
+                pred = surface[0].predict_binned(codes_te[:, subset])
             else:
-                est.fit(xtr[:, subset], ytr)
                 pred = est.predict(xte[:, subset])
             err = rmse(yte, pred)
             if err < best_err - 1e-12:
                 best_err = err
                 best_subset = subset
-            if k == h:
-                # The k=H subset is every feature in order: this fit *is*
-                # the full-feature model — reuse its predictions for the
-                # reported MAPE instead of fitting a third time.
-                full_pred = pred
+        # The last subset (k = H) is every feature in order: its
+        # predictions are the full-feature model's.
+        full_pred = pred
         if off_te is not None:
             truth = yte + off_te
             full_pred = full_pred + off_te
@@ -244,6 +261,15 @@ def relevance_scores(
         Mean-centered per-step samples: (NT, H) and (NT,).
     feature_names:
         Column labels (Table II abbreviations).
+    estimator_factory:
+        Must return identically configured, deterministic estimators.
+        Each fold scores the subset ``{f : ranking[f] <= k}`` with the
+        model the elimination path fitted when k features were left:
+        the path keeps column order and ranks every feature it dropped
+        earlier above k, so that model saw exactly this subset and the
+        same rows, and a fresh estimator would grow the same model.
+        Only sizes off the path (k = 1, and any a ``step > 1`` path
+        skips) get a fit of their own: H fits per fold for H features.
     n_splits:
         Folds (paper: 10).
     mape_offset:
@@ -252,7 +278,7 @@ def relevance_scores(
         the reported MAPE is on reconstructed absolute times.
     max_samples:
         Random subsample cap on the (NT) rows — the RFE sweep fits
-        O(H^2 * n_splits) boosted ensembles, and a few thousand samples
+        H * n_splits boosted ensembles, and a few thousand samples
         already pin the relevance ordering.  ``None`` disables.
     workers:
         CV folds are independent tasks fanned out over

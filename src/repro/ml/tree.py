@@ -91,7 +91,7 @@ class Binner:
         Quantile edges are computed per feature, so the binner fitted on
         ``x[:, features]`` is exactly this binner restricted to those
         columns — the identity the RFE sweep exploits to bin each fold
-        once and refit nested subsets by column slicing.
+        once and fit every feature subset by column slicing.
         """
         if self.edges_ is None:
             raise RuntimeError("binner is not fitted")

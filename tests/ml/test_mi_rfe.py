@@ -106,6 +106,30 @@ def test_rfe_ranking_keeps_signal_last(informative_problem):
     assert set(rfe.elimination_order_[:3]).isdisjoint({1, 5})
 
 
+# Importances by column id, with ties a SIMD quicksort orders differently
+# from a stable sort (it picks 6 before 5 for the first minimum).
+_TIED = np.array([3, 2, 2, 1, 1, 0, 0, 0, 0, 3, 2, 3, 2], dtype=np.float64)
+
+
+class _TiedImportances:
+    """Reports ``_TIED`` for whichever columns it is fitted on; each
+    column of ``x`` holds its own original index."""
+
+    def fit(self, x, y):
+        self.feature_importances_ = _TIED[x[0].astype(int)]
+        return self
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_rfe_ties_drop_the_lowest_index_first(step):
+    h = len(_TIED)
+    x = np.tile(np.arange(h, dtype=np.float64), (4, 1))
+    rfe = RFE(_TiedImportances, step=step).fit(x, np.zeros(4))
+    order = sorted(range(h), key=lambda f: (_TIED[f], f))
+    assert rfe.elimination_order_ == order[:-1]
+    assert rfe.ranking_[order[-1]] == 1
+
+
 def test_rfe_step_validation():
     with pytest.raises(ValueError):
         RFE(step=0)
