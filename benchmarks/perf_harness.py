@@ -46,10 +46,11 @@ from repro.parallel import shutdown_pool
 #: `all` pass (the stage graph's near-pure cache read), cold campaign
 #: generation on a non-default (topology, routing) cell, the streaming
 #: append (one-window generation + shard-scoped retrain), and the ML
-#: layer alone on synthetic input (tree, GBR, one RFE fold).
+#: layer alone on synthetic input (tree, GBR, one RFE fold; attention
+#: forecaster fits).
 BENCHES = [
     "fig09", "fig08", "fig10", "table03",
-    "warm_all", "campaign_cold", "stream_append", "ml_tree",
+    "warm_all", "campaign_cold", "stream_append", "ml_tree", "ml_attention",
 ]
 
 #: The cell ``campaign_cold`` generates on.  Pinned off the default so
@@ -220,6 +221,49 @@ def bench_campaign_cold(fast: bool, worker_counts: list[int]) -> dict:
     }
 
 
+def _time_synthetic(name: str, fingerprint: str, parts: dict) -> dict:
+    """Time each ``(fn, batch)`` part of a synthetic-input scenario.
+
+    ``fn`` runs ``batch`` times per sample (sub-ms calls are timed in
+    batches and reported per call) after one untimed warm-up call; five
+    samples give the median with the min/max spread, and the gated wall
+    is the sum of the medians.
+    """
+    repeats = 5
+    calibration = calibrate()
+    out = {}
+    for part, (fn, batch) in parts.items():
+        fn()  # warm-up: imports and first-call allocations
+        samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(batch):
+                fn()
+            samples.append((time.perf_counter() - t0) / batch)
+        med = float(np.median(samples))
+        out[part] = {
+            "wall_s": round(med, 6),
+            "min_s": round(min(samples), 6),
+            "max_s": round(max(samples), 6),
+            "normalized_wall": round(med / calibration, 4),
+        }
+        print(f"  {name} {part}: {med * 1e3:.2f} ms "
+              f"[{min(samples) * 1e3:.2f}, {max(samples) * 1e3:.2f}] "
+              f"({med / calibration:.3f}x calibration)")
+    return {
+        "name": name,
+        "mode": "synthetic",
+        "dataset_fingerprint": fingerprint,
+        "cpu_count": os.cpu_count(),
+        "calibration_s": round(calibration, 4),
+        "repeats": repeats,
+        "parts": out,
+        "serial_normalized_wall": round(
+            sum(p["normalized_wall"] for p in out.values()), 4
+        ),
+    }
+
+
 #: Rows x features of the ml_tree input: one 10-fold train split of the
 #: 600-sample fast Fig. 9 draw over the 13 app counters.
 ML_TREE_SHAPE = (540, 13)
@@ -260,39 +304,37 @@ def bench_ml_tree() -> dict:
             1,
         ),
     }
-    repeats = 5
-    calibration = calibrate()
-    out = {}
-    for name, (fn, batch) in parts.items():
-        fn()  # warm-up: imports and first-call allocations
-        samples = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            for _ in range(batch):
-                fn()
-            samples.append((time.perf_counter() - t0) / batch)
-        med = float(np.median(samples))
-        out[name] = {
-            "wall_s": round(med, 6),
-            "min_s": round(min(samples), 6),
-            "max_s": round(max(samples), 6),
-            "normalized_wall": round(med / calibration, 4),
-        }
-        print(f"  ml_tree {name}: {med * 1e3:.2f} ms "
-              f"[{min(samples) * 1e3:.2f}, {max(samples) * 1e3:.2f}] "
-              f"({med / calibration:.3f}x calibration)")
-    return {
-        "name": "ml_tree",
-        "mode": "synthetic",
-        "dataset_fingerprint": f"synthetic-{n}x{h}-seed0",
-        "cpu_count": os.cpu_count(),
-        "calibration_s": round(calibration, 4),
-        "repeats": repeats,
-        "parts": out,
-        "serial_normalized_wall": round(
-            sum(p["normalized_wall"] for p in out.values()), 4
-        ),
-    }
+    return _time_synthetic("ml_tree", f"synthetic-{n}x{h}-seed0", parts)
+
+
+#: Window shapes (windows, steps, counters) of the ml_attention input:
+#: the largest Fig. 8/10 fast-grid cell and the smallest.
+ML_ATTENTION_SHAPES = ((93, 30, 23), (9, 3, 13))
+
+
+def bench_ml_attention() -> dict:
+    """Time the attention forecaster alone: one ``fast_forecaster`` fit
+    per fast-grid window shape, on fixed synthetic windows.
+
+    Like ``ml_tree``, the number moves only when ``ml/attention.py`` or
+    ``ml/nn.py`` do.
+    """
+    from repro.experiments._forecast_common import fast_forecaster
+
+    rng = np.random.default_rng(0)
+    parts = {}
+    for shape in ML_ATTENTION_SHAPES:
+        # Counter-like scales: channels spanning six orders of magnitude.
+        x = rng.normal(size=shape) * np.geomspace(1.0, 1e6, shape[2])
+        y = 50.0 + x[:, -1, 0] + rng.normal(size=shape[0])
+        # Default arguments bind this shape's windows now, not at call
+        # time; the small fit is timed in batches of ten.
+        parts["fit_" + "x".join(map(str, shape))] = (
+            lambda x=x, y=y: fast_forecaster().fit(x, y),
+            1 if shape[0] > 50 else 10,
+        )
+    shapes = "+".join("x".join(map(str, s)) for s in ML_ATTENTION_SHAPES)
+    return _time_synthetic("ml_attention", f"synthetic-{shapes}-seed0", parts)
 
 
 #: Datasets the stream_append scenario retrains on — two suffice to
@@ -504,12 +546,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"campaign {fingerprint} (mode={'fast' if args.fast else 'full'}, "
           f"cpu_count={os.cpu_count()})")
     # campaign_cold and stream_append generate their own campaigns and
-    # ml_tree needs none; don't pay for the default one unless another
-    # scenario needs it.
+    # the ml_* scenarios need none; don't pay for the default one unless
+    # another scenario needs it.
     campaign = (
         run_campaign(cfg, progress=True)
         if args.profile
-        or set(benches) - {"campaign_cold", "stream_append", "ml_tree"}
+        or set(benches) - {"campaign_cold", "stream_append", "ml_tree", "ml_attention"}
         else None
     )
 
@@ -527,6 +569,8 @@ def main(argv: list[str] | None = None) -> int:
             result = bench_stream_append(args.fast)
         elif name == "ml_tree":
             result = bench_ml_tree()
+        elif name == "ml_attention":
+            result = bench_ml_attention()
         elif name == "warm_all":
             result = bench_warm_all(campaign, args.fast, fingerprint)
         else:

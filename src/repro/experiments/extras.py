@@ -270,7 +270,7 @@ def build_contention(g: Graph, ctx, exp_id: str = "extra-contention") -> str:
 # --------------------------------------------------------------------------- #
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def sysforecast_results(ctx):
     # Each channel's LDMS window tensor is served by the dataset's
     # FeatureStore (one shared (N, T, 8) view, one window stack per

@@ -135,7 +135,7 @@ def mi_neighborhood(ctx):
     return dataset_top_users(ctx.ds, ctx.params["top_k"], ctx.params["tau"])
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def forecast_cell(ctx):
     """One grouped-CV cell of the Fig. 8 / Fig. 10 ablation grids."""
     from repro.analysis.forecasting import forecast_mape
@@ -153,7 +153,7 @@ def forecast_cell(ctx):
     )
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def forecaster(ctx):
     """One trained forecaster — shared by Fig. 11 and Fig. 12."""
     from repro.analysis.forecasting import fit_forecaster

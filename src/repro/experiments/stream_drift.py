@@ -61,7 +61,7 @@ def stream_shard_manifest(ctx):
     }
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def shard_forecaster(ctx):
     """One forecaster trained on one (window, seed) shard."""
     from repro.analysis.forecasting import fit_forecaster

@@ -1,0 +1,191 @@
+"""Frozen einsum training step of the attention forecaster (oracle).
+
+This is a verbatim copy of ``AttentionForecaster`` from before the
+fused training step replaced it: three separate Q/K/V projections,
+three ``np.einsum("bmh,bmd->hd", ...)`` weight gradients, a dict of
+seven independent parameter arrays stepped by a dict Adam, and a
+dict-of-copies early-stopping snapshot.  Only the class name is new.
+It pins the tolerance contract of the production forecaster: the same
+gradients to ``rtol=1e-12``, the same fits to ``rtol=1e-9``, a
+byte-identical Adam step and byte-identical rendered figures.
+Do not "modernise" this module — its value is that it does not change.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.ml.nn import Adam, glorot, relu, relu_grad, softmax, softmax_backward
+from repro.ml.scaling import StandardScaler
+
+
+class ReferenceAttentionForecaster:
+    """Attention + MLP regressor over (m, H) windows."""
+
+    def __init__(
+        self,
+        d_model: int = 24,
+        hidden: int = 48,
+        lr: float = 3e-3,
+        epochs: int = 300,
+        batch_size: int = 128,
+        seed: int = 0,
+        patience: int = 40,
+        validation_fraction: float = 0.15,
+    ) -> None:
+        if d_model < 1 or hidden < 1:
+            raise ValueError("d_model and hidden must be positive")
+        self.d_model = d_model
+        self.hidden = hidden
+        self.lr = lr
+        self.epochs = epochs
+        self.batch_size = batch_size
+        self.seed = seed
+        self.patience = patience
+        self.validation_fraction = validation_fraction
+        self.params: dict[str, np.ndarray] | None = None
+        self._x_scaler: StandardScaler | None = None
+        self._y_scaler: StandardScaler | None = None
+        self.history_: list[float] = []
+
+    # ------------------------------------------------------------------ #
+
+    def _init_params(self, h: int, rng: np.random.Generator) -> None:
+        d, hid = self.d_model, self.hidden
+        self.params = {
+            "Wq": glorot(rng, (h, d)),
+            "Wk": glorot(rng, (h, d)),
+            "Wv": glorot(rng, (h, d)),
+            "W1": glorot(rng, (2 * d, hid)),
+            "b1": np.zeros(hid),
+            "W2": glorot(rng, (hid, 1)),
+            "b2": np.zeros(1),
+        }
+
+    def _standardize_x(self, x: np.ndarray, fit: bool) -> np.ndarray:
+        b, m, h = x.shape
+        flat = x.reshape(b * m, h)
+        if fit:
+            self._x_scaler = StandardScaler().fit(flat)
+        return self._x_scaler.transform(flat).reshape(b, m, h)
+
+    # ------------------------------------------------------------------ #
+
+    def _forward(self, x: np.ndarray, need_cache: bool = False):
+        p = self.params
+        d = self.d_model
+        q = x @ p["Wq"]
+        k = x @ p["Wk"]
+        v = x @ p["Wv"]
+        scores = q @ np.swapaxes(k, 1, 2) / np.sqrt(d)
+        a = softmax(scores, axis=-1)
+        c = a @ v
+        pooled = np.concatenate([c.mean(axis=1), c[:, -1, :]], axis=1)
+        z1 = pooled @ p["W1"] + p["b1"]
+        h1 = relu(z1)
+        yhat = (h1 @ p["W2"] + p["b2"])[:, 0]
+        if not need_cache:
+            return yhat
+        return yhat, (x, q, k, v, a, pooled, z1, h1)
+
+    def _backward(self, grad_y: np.ndarray, cache) -> dict[str, np.ndarray]:
+        p = self.params
+        x, q, k, v, a, pooled, z1, h1 = cache
+        d = self.d_model
+        m = x.shape[1]
+
+        d_h1 = grad_y[:, None] @ p["W2"].T  # (B, hid)
+        g = {
+            "W2": h1.T @ grad_y[:, None],
+            "b2": np.array([grad_y.sum()]),
+        }
+        d_z1 = d_h1 * relu_grad(z1)
+        g["W1"] = pooled.T @ d_z1
+        g["b1"] = d_z1.sum(axis=0)
+        d_pooled = d_z1 @ p["W1"].T  # (B, 2d)
+        d_c = np.repeat(d_pooled[:, None, :d] / m, m, axis=1)  # (B, m, d)
+        d_c[:, -1, :] += d_pooled[:, d:]
+        d_a = d_c @ np.swapaxes(v, 1, 2)  # (B, m, m)
+        d_v = np.swapaxes(a, 1, 2) @ d_c  # (B, m, d)
+        d_scores = softmax_backward(a, d_a, axis=-1) / np.sqrt(d)
+        d_q = d_scores @ k
+        d_k = np.swapaxes(d_scores, 1, 2) @ q
+        g["Wq"] = np.einsum("bmh,bmd->hd", x, d_q)
+        g["Wk"] = np.einsum("bmh,bmd->hd", x, d_k)
+        g["Wv"] = np.einsum("bmh,bmd->hd", x, d_v)
+        return g
+
+    # ------------------------------------------------------------------ #
+
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "ReferenceAttentionForecaster":
+        """Train on windows ``x`` (n, m, H) and targets ``y`` (n,)."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if x.ndim != 3 or len(x) != len(y):
+            raise ValueError("x must be (n, m, H) with matching y")
+        rng = np.random.default_rng(self.seed)
+        xs = self._standardize_x(x, fit=True)
+        self._y_scaler = StandardScaler().fit(y)
+        ys = self._y_scaler.transform(y)
+
+        n = len(xs)
+        self._init_params(x.shape[2], rng)
+        opt = Adam(self.params, lr=self.lr)
+
+        # Validation split for early stopping.
+        n_val = max(1, int(round(self.validation_fraction * n))) if n >= 10 else 0
+        perm = rng.permutation(n)
+        val_idx = perm[:n_val]
+        tr_idx = perm[n_val:]
+        best_val = np.inf
+        best_params = None
+        stale = 0
+
+        self.history_ = []
+        bs = min(self.batch_size, len(tr_idx))
+        for _ in range(self.epochs):
+            order = rng.permutation(tr_idx)
+            for start in range(0, len(order), bs):
+                batch = order[start : start + bs]
+                yhat, cache = self._forward(xs[batch], need_cache=True)
+                grad_y = 2.0 * (yhat - ys[batch]) / len(batch)
+                grads = self._backward(grad_y, cache)
+                opt.step(grads)
+            if n_val:
+                val_pred = self._forward(xs[val_idx])
+                val_loss = float(np.mean((val_pred - ys[val_idx]) ** 2))
+                self.history_.append(val_loss)
+                if val_loss < best_val - 1e-6:
+                    best_val = val_loss
+                    best_params = {k: v.copy() for k, v in self.params.items()}
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= self.patience:
+                        break
+            else:
+                tr_pred = self._forward(xs)
+                self.history_.append(float(np.mean((tr_pred - ys) ** 2)))
+        if best_params is not None:
+            self.params = best_params
+        return self
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        if self.params is None or self._x_scaler is None:
+            raise RuntimeError("model is not fitted")
+        x = np.asarray(x, dtype=np.float64)
+        xs = self._standardize_x(x, fit=False)
+        ys = self._forward(xs)
+        return self._y_scaler.inverse_transform(ys)
+
+    # ------------------------------------------------------------------ #
+
+    def attention_map(self, x: np.ndarray) -> np.ndarray:
+        """The (n, m, m) attention weights for inspection."""
+        if self.params is None:
+            raise RuntimeError("model is not fitted")
+        xs = self._standardize_x(np.asarray(x, dtype=np.float64), fit=False)
+        p = self.params
+        q = xs @ p["Wq"]
+        k = xs @ p["Wk"]
+        return softmax(q @ np.swapaxes(k, 1, 2) / np.sqrt(self.d_model), axis=-1)
